@@ -385,6 +385,14 @@ std::vector<T> DensePartitionedScan(
   auto worker = [&](unsigned slot) {
     obs::WorkerScope scope(pipeline, slot);
     auto& sink = state.sink(slot);
+    // The sink keeps a partition run lock from one batch to the next:
+    // flush it before urgent tasks run at a batch boundary of this slot.
+    Scheduler::PreemptRelease release(
+        [](void* s) {
+          static_cast<typename PartitionedDense<T, U, Apply>::Sink*>(s)
+              ->Flush();
+        },
+        &sink);
     TableScanner scanner(table, columns, predicates, mode, vector_size, isa);
     Batch batch;
     const int my_node = Scheduler::CurrentWorkerNode();

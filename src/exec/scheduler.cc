@@ -37,6 +37,7 @@ struct SchedulerMetrics {
   obs::Counter* steals;
   obs::Counter* periodic_fires;
   obs::Counter* morsels_remote;
+  obs::Counter* urgent_preemptions;
 };
 
 const SchedulerMetrics& Metrics() {
@@ -45,7 +46,8 @@ const SchedulerMetrics& Metrics() {
     return SchedulerMetrics{r.GetCounter("scheduler.tasks_run"),
                             r.GetCounter("scheduler.steals"),
                             r.GetCounter("scheduler.periodic_fires"),
-                            r.GetCounter("scheduler.morsels_remote")};
+                            r.GetCounter("scheduler.morsels_remote"),
+                            r.GetCounter("scheduler.urgent_preemptions")};
   }();
   return m;
 }
@@ -55,7 +57,24 @@ const SchedulerMetrics& Metrics() {
 constexpr int kNotAPoolWorker = INT_MIN;
 thread_local int tls_worker_node = kNotAPoolWorker;
 
+/// The pool (and worker index) whose WorkerLoop runs on this thread;
+/// nullptr for every other thread.
+thread_local Scheduler* tls_pool = nullptr;
+thread_local unsigned tls_worker = 0;
+/// Set while this thread runs an urgent task: stops RunUrgentHere from
+/// nesting urgent tasks inside one another.
+thread_local bool tls_in_urgent = false;
+/// Innermost live PreemptRelease scope of this thread.
+thread_local const Scheduler::PreemptRelease* tls_release = nullptr;
+
 }  // namespace
+
+Scheduler::PreemptRelease::PreemptRelease(void (*release)(void*), void* ctx)
+    : release_(release), ctx_(ctx), outer_(tls_release) {
+  tls_release = this;
+}
+
+Scheduler::PreemptRelease::~PreemptRelease() { tls_release = outer_; }
 
 int Scheduler::CurrentWorkerNode() {
   const int n = tls_worker_node;
@@ -105,23 +124,11 @@ Scheduler& Scheduler::Default() {
 }
 
 void Scheduler::Submit(std::function<void()> fn) {
-  SubmitInternal(std::move(fn), /*front=*/false);
-}
-
-void Scheduler::SubmitUrgent(std::function<void()> fn) {
-  SubmitInternal(std::move(fn), /*front=*/true);
-}
-
-void Scheduler::SubmitInternal(std::function<void()> fn, bool front) {
   const unsigned target =
       next_queue_.fetch_add(1, std::memory_order_relaxed) % num_workers();
   {
     std::lock_guard<std::mutex> lock(workers_[target]->mu);
-    if (front) {
-      workers_[target]->queue.push_front(std::move(fn));
-    } else {
-      workers_[target]->queue.push_back(std::move(fn));
-    }
+    workers_[target]->queue.push_back(std::move(fn));
   }
   {
     std::lock_guard<std::mutex> lock(sleep_mu_);
@@ -130,7 +137,69 @@ void Scheduler::SubmitInternal(std::function<void()> fn, bool front) {
   sleep_cv_.notify_one();
 }
 
+void Scheduler::SubmitUrgent(std::function<void()> fn) {
+  {
+    std::lock_guard<std::mutex> lock(urgent_mu_);
+    urgent_.push_back(std::move(fn));
+    urgent_pending_.fetch_add(1, std::memory_order_relaxed);
+  }
+  {
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    ++pending_;
+  }
+  sleep_cv_.notify_one();
+}
+
+std::function<void()> Scheduler::PopUrgent() {
+  std::function<void()> task;
+  if (urgent_pending_.load(std::memory_order_relaxed) == 0) return task;
+  {
+    std::lock_guard<std::mutex> lock(urgent_mu_);
+    if (urgent_.empty()) return task;
+    task = std::move(urgent_.front());
+    urgent_.pop_front();
+    urgent_pending_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  std::lock_guard<std::mutex> lock(sleep_mu_);
+  --pending_;
+  return task;
+}
+
+void Scheduler::RunUrgent(std::function<void()>& task,
+                          unsigned self) noexcept {
+  tls_in_urgent = true;
+  task();
+  tls_in_urgent = false;
+  CountRun(self);
+}
+
+void Scheduler::CountRun(unsigned self) {
+  tasks_run_.fetch_add(1, std::memory_order_relaxed);
+  workers_[self]->tasks_run.fetch_add(1, std::memory_order_relaxed);
+  Metrics().tasks_run->Add();
+}
+
+void Scheduler::RunUrgentHere() {
+  Scheduler* const pool = tls_pool;
+  if (pool == nullptr ||
+      pool->urgent_pending_.load(std::memory_order_relaxed) == 0 ||
+      tls_in_urgent) {
+    return;
+  }
+  for (const PreemptRelease* r = tls_release; r != nullptr; r = r->outer_) {
+    r->release_(r->ctx_);
+  }
+  while (std::function<void()> task = pool->PopUrgent()) {
+    Metrics().urgent_preemptions->Add();
+    pool->RunUrgent(task, tls_worker);
+  }
+}
+
 bool Scheduler::TryRunOne(unsigned self) {
+  if (std::function<void()> urgent = PopUrgent()) {
+    RunUrgent(urgent, self);
+    return true;
+  }
   std::function<void()> task;
   // Own queue first (front: submission order), then sweep the siblings.
   {
@@ -162,9 +231,7 @@ bool Scheduler::TryRunOne(unsigned self) {
     --pending_;
   }
   task();
-  tasks_run_.fetch_add(1, std::memory_order_relaxed);
-  workers_[self]->tasks_run.fetch_add(1, std::memory_order_relaxed);
-  Metrics().tasks_run->Add();
+  CountRun(self);
   return true;
 }
 
@@ -180,6 +247,8 @@ std::vector<Scheduler::WorkerStats> Scheduler::worker_stats() const {
 void Scheduler::WorkerLoop(unsigned self) {
   if (workers_[self]->cpu >= 0) PinSelfTo(unsigned(workers_[self]->cpu));
   tls_worker_node = workers_[self]->node;
+  tls_pool = this;
+  tls_worker = self;
   for (;;) {
     if (TryRunOne(self)) continue;
     std::unique_lock<std::mutex> lock(sleep_mu_);

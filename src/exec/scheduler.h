@@ -77,13 +77,48 @@ class Scheduler {
   /// joinable work.
   void Submit(std::function<void()> fn);
 
-  /// Enqueues one task at the *front* of its worker's queue, overtaking
-  /// every task queued with Submit: the serving layer routes OLTP point
-  /// ops here so they never wait behind queued scan morsels. Urgent
-  /// tasks are LIFO among themselves (they are expected to be short and
-  /// rare relative to queue depth) and, sitting at the front, are the
-  /// last ones siblings steal.
+  /// Enqueues one task on the pool's urgent lane: one FIFO that every
+  /// worker drains before its own queue, so urgent tasks overtake every
+  /// task queued with Submit. The serving layer routes OLTP point ops
+  /// here. An urgent task does not wait for a running pipeline to end
+  /// either: workers in the middle of a scan run pending urgent tasks
+  /// inline at their next batch boundary (RunUrgentHere).
+  ///
+  /// Contract for urgent tasks: one may run on a worker in the middle of
+  /// another task's pipeline, between two batches, so it must not wait
+  /// on anything that a preempted pipeline holds or needs to progress —
+  /// a lock kept across batches (DensePartitionedScan drops its run lock
+  /// first, see PreemptRelease), a TaskGroup of that pipeline, or a lock
+  /// that another urgent task keeps while it runs a parallel pipeline of
+  /// its own. Short point operations meet it trivially. Urgent tasks run
+  /// noexcept: a throwing one terminates the process, as in WorkerLoop.
   void SubmitUrgent(std::function<void()> fn);
+
+  /// The preemption point of the morsel loops, called at every batch
+  /// boundary (the top of TableScanner::Next). On a worker of a pool with
+  /// pending urgent tasks it runs them inline, after the thread's
+  /// PreemptRelease scopes dropped what they hold; elsewhere it costs one
+  /// thread-local load (plus one relaxed atomic load on a pool worker).
+  /// An urgent task never runs other urgent tasks nested inside itself.
+  static void RunUrgentHere();
+
+  /// Scope guard for a morsel loop that keeps a lock from one batch to
+  /// the next: while it lives, RunUrgentHere on this thread calls
+  /// `release(ctx)` before it runs any urgent task, so no urgent task
+  /// runs while the lock is held. Scopes nest; every live one is called.
+  class PreemptRelease {
+   public:
+    PreemptRelease(void (*release)(void*), void* ctx);
+    ~PreemptRelease();
+    PreemptRelease(const PreemptRelease&) = delete;
+    PreemptRelease& operator=(const PreemptRelease&) = delete;
+
+   private:
+    friend class Scheduler;
+    void (*const release_)(void*);
+    void* const ctx_;
+    const PreemptRelease* const outer_;
+  };
 
   /// Registers `fn` to run roughly every `interval` on pool workers.
   /// Returns a nonzero id for RemovePeriodic. Firings are skipped while a
@@ -97,7 +132,8 @@ class Scheduler {
   /// be called from inside the task itself.
   void RemovePeriodic(uint64_t id);
 
-  /// Tasks executed by pool workers (excludes TaskGroup::Wait help-runs).
+  /// Tasks executed by pool workers (excludes TaskGroup::Wait help-runs;
+  /// includes urgent tasks run inline at a batch boundary).
   uint64_t tasks_run() const {
     return tasks_run_.load(std::memory_order_relaxed);
   }
@@ -131,16 +167,26 @@ class Scheduler {
     bool removed = false;
   };
 
-  void SubmitInternal(std::function<void()> fn, bool front);
   void WorkerLoop(unsigned self);
   bool TryRunOne(unsigned self);
+  /// Pops the oldest urgent task (empty when none is pending).
+  std::function<void()> PopUrgent();
+  void RunUrgent(std::function<void()>& task, unsigned self) noexcept;
+  void CountRun(unsigned self);
   void FirePeriodic(uint64_t id);
   void TimerLoop();
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<unsigned> next_queue_{0};  // Submit round-robin cursor
 
-  // Idle workers sleep here; pending_ counts queued-but-unclaimed tasks.
+  // The urgent lane (SubmitUrgent). urgent_pending_ mirrors urgent_.size()
+  // so RunUrgentHere can test it without taking urgent_mu_.
+  std::mutex urgent_mu_;
+  std::deque<std::function<void()>> urgent_;  // guarded by urgent_mu_
+  std::atomic<size_t> urgent_pending_{0};
+
+  // Idle workers sleep here; pending_ counts queued-but-unclaimed tasks,
+  // urgent ones included.
   std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
   size_t pending_ = 0;

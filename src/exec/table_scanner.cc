@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "exec/scheduler.h"
 #include "obs/metrics.h"
 #include "util/bits.h"
 
@@ -480,6 +481,10 @@ void TableScanner::PrepareChunk() {
 }
 
 bool TableScanner::Next(Batch* batch) {
+  // Batch boundary: the previous batch is consumed, so this is where a
+  // pool worker lets pending urgent tasks (OLTP point ops) run instead of
+  // making them wait for the rest of the pipeline.
+  Scheduler::RunUrgentHere();
   batch->Reset(table_->schema(), columns_);
   const size_t end = std::min<size_t>(chunk_limit_, table_->num_chunks());
   while (chunk_idx_ < end) {

@@ -63,6 +63,11 @@ class TableScanner {
   /// reaches them, and the lifecycle manager cannot evict a chunk out from
   /// under an in-progress scan. The pin is dropped when the scan moves past
   /// the chunk, is Reset, or the scanner is destroyed.
+  ///
+  /// Every call is a batch boundary of the morsel loop driving the scan,
+  /// and the preemption point for urgent tasks: on a pool worker, pending
+  /// Scheduler::SubmitUrgent tasks run inline before the next batch is
+  /// produced (Scheduler::RunUrgentHere).
   bool Next(Batch* batch);
 
   /// Restarts the scan from the beginning.

@@ -160,10 +160,12 @@ void AdmissionController::RunActions(std::vector<Action>& actions) {
 void AdmissionController::Submit(std::shared_ptr<Ticket> t) {
   DB_CHECK(t != nullptr && t->grant && t->drop);
   Metrics().submitted->Add();
-  const auto now = std::chrono::steady_clock::now();
   std::vector<Action> actions;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Every `now` is read under mu_: read before it, a ticket another
+    // thread enqueues in between would be granted with a negative wait.
+    const auto now = std::chrono::steady_clock::now();
     if (shutdown_) {
       actions.push_back({std::move(t), false, 0, Status::kShutdown});
       RunActions(actions);
@@ -208,10 +210,10 @@ void AdmissionController::Submit(std::shared_ptr<Ticket> t) {
 }
 
 void AdmissionController::OnDone(bool heavy) {
-  const auto now = std::chrono::steady_clock::now();
   std::vector<Action> actions;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const auto now = std::chrono::steady_clock::now();
     DB_CHECK(running_ > 0);
     --running_;
     if (heavy) {
@@ -226,10 +228,10 @@ void AdmissionController::OnDone(bool heavy) {
 }
 
 void AdmissionController::ReapExpired() {
-  const auto now = std::chrono::steady_clock::now();
   std::vector<Action> actions;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const auto now = std::chrono::steady_clock::now();
     ExpireLocked(now, &actions);
     if (!actions.empty()) {
       // Expiry can unblock the heavy gate's bypass scan.

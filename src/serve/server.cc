@@ -229,8 +229,9 @@ void Server::Dispatch(Request req,
       admission_.OnDone(heavy);
       complete(std::move(resp));
     };
-    // Point ops jump the worker queues; scans line up behind running
-    // morsel tasks.
+    // Point ops take the scheduler's urgent lane: they overtake queued
+    // tasks and preempt running scans at their next batch boundary.
+    // Everything else lines up behind running morsel tasks.
     if (rq->priority == Priority::kOltp) {
       scheduler_->SubmitUrgent(std::move(run));
     } else {

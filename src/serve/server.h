@@ -4,9 +4,15 @@
 // Multi-client serving front end: the first layer of the engine that
 // more than one caller talks to. A Server owns an admission controller
 // (serve/admission.h) and a handler table, and executes admitted
-// requests on the shared morsel scheduler (exec/scheduler.h) — OLTP
-// point ops submitted queue-front (Scheduler::SubmitUrgent) so they
-// overtake queued scan tasks, everything else queue-back.
+// requests on the shared morsel scheduler (exec/scheduler.h). OLTP
+// point ops go to the scheduler's urgent lane (Scheduler::SubmitUrgent):
+// they overtake every queued task, and a worker in the middle of a scan
+// runs them inline at its next batch boundary, so a point op waits for
+// at most one batch of a running OLAP pipeline, not for the rest of it.
+// Everything else is queued behind running morsel tasks. OLTP handlers
+// must therefore keep the urgent-task contract (scheduler.h): never wait
+// on anything a preempted pipeline holds. Their completion (admission
+// OnDone, response delivery) may run inside an OLAP slot.
 //
 // Clients talk through Sessions — one per connection. The submission
 // surface is deliberately socket-ready: a request is a (name, priority,

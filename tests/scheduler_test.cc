@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "exec/parallel_scan.h"
+#include "exec/partitioned_agg.h"
 #include "exec/scheduler.h"
 #include "lifecycle/lifecycle_manager.h"
+#include "obs/metrics.h"
 #include "test_table_util.h"
 #include "tpch/queries.h"
 #include "util/cpu.h"
@@ -33,6 +35,31 @@ bool WaitFor(Pred pred) {
     std::this_thread::yield();
   }
   return true;
+}
+
+/// Runs `fn` as a task of `sched` and waits for it, so a pipeline it
+/// starts has slot 0 on a pool worker, as a served query does. A task
+/// that does not finish within a minute is a deadlock: abort loudly
+/// instead of hanging the suite.
+template <typename Fn>
+void RunAsPoolTask(Scheduler& sched, Fn fn) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  sched.Submit([&] {
+    fn();
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "pool task did not finish: deadlock\n");
+    std::abort();
+  }
+}
+
+uint64_t UrgentPreemptions() {
+  return obs::MetricsRegistry::Default()
+      .GetCounter("scheduler.urgent_preemptions")
+      ->Value();
 }
 
 TEST(Topology, HardwareThreadsGuardAndShape) {
@@ -107,6 +134,159 @@ TEST(Scheduler, UrgentSubmitOvertakesQueuedTasks) {
     return order.size() == 3;
   }));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Scheduler, UrgentTaskPreemptsARunningParallelScan) {
+  // Both workers run slots of one multi-chunk scan, so no worker is free.
+  // An urgent task submitted from the scan must still run at a batch
+  // boundary while batches are left, not after the scan.
+  Table t = MakeTestTable(32 * 1024, 1024, /*delete_every=*/0,
+                          /*freeze=*/true);
+  Scheduler sched(Scheduler::Options{.num_workers = 2});
+  std::atomic<unsigned> slots_in{0};
+  std::atomic<bool> submitted{false};
+  std::atomic<int64_t> batches{0};
+  std::atomic<int64_t> batches_at_urgent{-1};
+  const uint64_t preemptions0 = UrgentPreemptions();
+  RunAsPoolTask(sched, [&] {
+    ParallelScan<int>(
+        t, {0}, {}, ScanMode::kDataBlocks, /*num_threads=*/2,
+        [] { return 0; },
+        [&](int& seen, const Batch&) {
+          if (seen++ == 0) {
+            // Each slot holds its first batch until both slots run: then
+            // every worker of the pool is inside the scan.
+            slots_in.fetch_add(1);
+            EXPECT_TRUE(WaitFor([&] { return slots_in.load() == 2; }));
+            if (!submitted.exchange(true)) {
+              sched.SubmitUrgent(
+                  [&] { batches_at_urgent = batches.load(); });
+            }
+          }
+          batches.fetch_add(1);
+        },
+        /*vector_size=*/256, BestIsa(), &sched);
+  });
+  EXPECT_EQ(batches.load(), 128);  // 32 chunks x 4 batches
+  EXPECT_GE(batches_at_urgent.load(), 0);
+  EXPECT_LT(batches_at_urgent.load(), batches.load());
+  EXPECT_GE(UrgentPreemptions(), preemptions0 + 1);
+}
+
+TEST(Scheduler, UrgentTaskDoesNotRunUrgentTasksNestedInsideItself) {
+  // One worker, busy with a scan. The first urgent task preempts it; it
+  // submits a second one and then scans itself. The second must wait for
+  // the first to return, not run at the first one's batch boundaries.
+  Table t = MakeTestTable(16 * 1024, 1024, /*delete_every=*/0,
+                          /*freeze=*/true);
+  const ScanResult expect = FullScan(t);
+  Scheduler sched(Scheduler::Options{.num_workers = 1});
+  std::atomic<bool> first_done{false};
+  std::atomic<int> second_saw_first_done{-1};
+  std::atomic<int64_t> batches{0};
+  std::atomic<int64_t> batches_at_first{-1};
+  ScanResult first_scan;
+  RunAsPoolTask(sched, [&] {
+    ParallelScan<int>(
+        t, {0}, {}, ScanMode::kDataBlocks, /*num_threads=*/1,
+        [] { return 0; },
+        [&](int&, const Batch&) {
+          if (batches.fetch_add(1) != 0) return;
+          sched.SubmitUrgent([&] {
+            batches_at_first = batches.load();
+            sched.SubmitUrgent(
+                [&] { second_saw_first_done = first_done.load() ? 1 : 0; });
+            first_scan = FullScan(t);  // batch boundaries of its own
+            first_done = true;
+          });
+        },
+        /*vector_size=*/256, BestIsa(), &sched);
+  });
+  ASSERT_TRUE(WaitFor([&] { return second_saw_first_done.load() >= 0; }));
+  EXPECT_EQ(second_saw_first_done.load(), 1);
+  EXPECT_EQ(first_scan, expect);
+  EXPECT_GE(batches_at_first.load(), 0);
+  EXPECT_LT(batches_at_first.load(), batches.load());
+}
+
+TEST(Scheduler, RunUrgentHereIsANoOpOutsideThePool) {
+  Table t = MakeTestTable(4 * 1024, 1024, /*delete_every=*/0,
+                          /*freeze=*/true);
+  Scheduler sched(Scheduler::Options{.num_workers = 1});
+  std::promise<void> release;
+  std::shared_future<void> released(release.get_future());
+  std::atomic<bool> started{false};
+  sched.Submit([&] {
+    started = true;
+    released.wait();
+  });
+  ASSERT_TRUE(WaitFor([&] { return started.load(); }));
+  std::atomic<bool> ran{false};
+  sched.SubmitUrgent([&] { ran = true; });
+  // This thread is no pool worker: neither the hook nor a scan's batch
+  // boundaries may run the pending urgent task here.
+  Scheduler::RunUrgentHere();
+  EXPECT_EQ(FullScan(t).count, 4 * 1024);
+  EXPECT_FALSE(ran.load());
+  release.set_value();
+  EXPECT_TRUE(WaitFor([&] { return ran.load(); }));
+}
+
+TEST(Scheduler, UrgentDensePartitionedScanInsideADensePartitionedScan) {
+  // A 64-element domain is one lock partition, so an outer slot keeps
+  // the partition's run lock from batch to batch while the other slot's
+  // flushes wait for it. The urgent task first waits for the other slot
+  // to consume 16 more batches (one spill-buffer flush, which needs the
+  // lock): that only happens if the preempted slot dropped the lock
+  // before running the task. Then it runs a DensePartitionedScan of its
+  // own. (Waiting on a pipeline breaks the urgent-task contract; here it
+  // is the probe.)
+  Table t = MakeTestTable(64 * 1024, 1024, /*delete_every=*/0,
+                          /*freeze=*/true);
+  const size_t kDomain = 64;
+  std::vector<int64_t> expect(kDomain, 0);
+  {
+    TableScanner scan(t, {0, 1}, {}, ScanMode::kDataBlocks);
+    Batch b;
+    while (scan.Next(&b)) {
+      for (uint32_t i = 0; i < b.count; ++i) {
+        expect[size_t(b.cols[0].i64[i]) % kDomain] += b.cols[1].i32[i];
+      }
+    }
+  }
+  auto produce = [](auto& sink, const Batch& b) {
+    for (uint32_t i = 0; i < b.count; ++i) {
+      sink.Add(size_t(b.cols[0].i64[i]) % 64, b.cols[1].i32[i]);
+    }
+  };
+  Scheduler sched(Scheduler::Options{.num_workers = 2});
+  std::atomic<int64_t> batches{0};
+  std::atomic<bool> submitted{false};
+  std::atomic<bool> other_slot_moved{false};
+  std::vector<int64_t> outer, inner;
+  RunAsPoolTask(sched, [&] {
+    outer = DensePartitionedScan<int64_t, int64_t>(
+        t, {0, 1}, {}, ScanMode::kDataBlocks, /*num_threads=*/2, kDomain,
+        [&](auto& sink, const Batch& b) {
+          produce(sink, b);
+          const int64_t n = batches.fetch_add(1) + 1;
+          // By batch 64 both slots flushed a 16-batch spill buffer: one
+          // of them holds the run lock, the other waits for it.
+          if (n < 64 || submitted.exchange(true)) return;
+          sched.SubmitUrgent([&, n] {
+            other_slot_moved =
+                WaitFor([&] { return batches.load() >= n + 16; });
+            inner = DensePartitionedScan<int64_t, int64_t>(
+                t, {0, 1}, {}, ScanMode::kDataBlocks, /*num_threads=*/2,
+                kDomain, produce, ApplyAdd{}, int64_t{0},
+                /*vector_size=*/256, BestIsa(), &sched);
+          });
+        },
+        ApplyAdd{}, int64_t{0}, /*vector_size=*/256, BestIsa(), &sched);
+  });
+  EXPECT_TRUE(other_slot_moved.load());
+  EXPECT_EQ(outer, expect);
+  EXPECT_EQ(inner, expect);
 }
 
 TEST(Scheduler, MorselDispatcherHandsOutEveryRangeExactlyOnce) {

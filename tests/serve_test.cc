@@ -406,6 +406,48 @@ TEST(Server, ConcurrentClientsAllComplete) {
   server.Shutdown();
 }
 
+TEST(Server, QueueWaitNeverExceedsTotalLatency) {
+  // Submitters race finishers for one running slot: every grant's queue
+  // wait must fit inside its request's end-to-end latency. Reading the
+  // clock outside the admission lock let a ticket enqueued in between be
+  // granted with a negative wait, which wrapped to ~1.8e19 ns. OLAP
+  // clients flood the queue so the slot stays busy; closed-loop OLTP
+  // clients then arrive at a mostly empty OLTP queue, whose head a
+  // finishing request grants first.
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 2000;
+  Scheduler scheduler(SmallPool());
+  serve::Server server(
+      TinyAdmission(&scheduler, 1, size_t(kClients) * kPerClient));
+  server.RegisterHandler("nop", [](std::string_view) { return "n"; });
+  std::vector<std::vector<ResponseFuture>> futures(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const bool oltp = c % 2 == 0;
+      auto session = server.OpenSession(
+          "q" + std::to_string(c), oltp ? Priority::kOltp : Priority::kOlap);
+      for (int i = 0; i < kPerClient; ++i) {
+        futures[c].push_back(session->Call("nop"));
+        if (oltp) futures[c].back().Get();
+      }
+      session->Close();
+    });
+  }
+  for (auto& t : clients) t.join();
+  int granted = 0;
+  for (const auto& mine : futures) {
+    for (const ResponseFuture& f : mine) {
+      const Response& r = f.Get();
+      ASSERT_EQ(r.status, Status::kOk);
+      ++granted;
+      ASSERT_LE(r.queue_ns, r.total_ns) << "request " << granted;
+    }
+  }
+  EXPECT_EQ(granted, kClients * kPerClient);
+  server.Shutdown();
+}
+
 TEST(Serve, TpchThroughServerMatchesDirectCall) {
   tpch::TpchConfig cfg;
   cfg.scale_factor = 0.01;
