@@ -81,10 +81,11 @@ int main(int argc, char** argv) {
   // --- (2) Morsel-parallel scan scaling -----------------------------------
   std::printf("\n=== (2) morsel-parallel Q6 aggregation ===\n");
   double base_s = 0;
+  const Table* lineitem[] = {&db->lineitem};
   for (unsigned threads : {1u, 2u, 4u}) {
     double s = Best(3, [&] {
       auto states = ParallelScan<EagerAggResult>(
-          db->lineitem, {li::extendedprice, li::discount}, Q6Preds(),
+          lineitem, {li::extendedprice, li::discount}, Q6Preds(),
           ScanMode::kDataBlocksPsma, threads,
           [] { return EagerAggResult{}; },
           [](EagerAggResult& st, const Batch& b) {

@@ -2,6 +2,7 @@
 #define DATABLOCKS_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -322,6 +323,33 @@ inline unsigned BenchShardsFlag(int* argc, char** argv) {
   }
   BenchJson().shards = shards;
   return shards;
+}
+
+/// The last step of argument parsing, after every flag parser above
+/// stripped its own flags: exits 2 with `usage` on any leftover `--...`
+/// argument (an unknown flag, `--help` included) and, when the bench
+/// takes a positional scale factor (`default_sf` > 0), on an argv[1] that
+/// is not a number > 0. Returns that scale factor, `default_sf` when none
+/// was given.
+inline double BenchFinishArgs(int argc, char** argv, const char* usage,
+                              double default_sf = 0) {
+  const char* bad = nullptr;
+  for (int i = 1; i < argc && bad == nullptr; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0) bad = argv[i];
+  }
+  double sf = default_sf;
+  if (bad == nullptr && default_sf > 0 && argc > 1) {
+    char* end;
+    sf = std::strtod(argv[1], &end);
+    if (end == argv[1] || *end != '\0' || !(sf > 0) || !std::isfinite(sf)) {
+      bad = argv[1];
+    }
+  }
+  if (bad != nullptr) {
+    std::fprintf(stderr, "bad argument: %s\nusage: %s\n", bad, usage);
+    std::exit(2);
+  }
+  return sf;
 }
 
 /// Median of a sample vector (scrambles the input order).

@@ -1,6 +1,6 @@
 // Shard-scaling sweep: the same scan+aggregate pipelines run against the
-// single-table engine and against N partitioned engine instances with
-// exchange repartitioning (exec/shard.h, exec/exchange.h).
+// single-table engine and against N partitioned engine instances
+// (exec/shard.h) through the same drivers (exec/parallel_scan.h).
 //
 // Five pipelines, chosen to expose each side of the trade:
 //
@@ -25,9 +25,9 @@
 //   dense_orderkey     dense per-order aggregation with co-partitioned
 //                      routing (order ordinals invert to the shard key, so
 //                      each update is owned by the shard that produced it
-//                      and the exchange degenerates to self-delivery); the
+//                      and applies in place under that shard's lock); the
 //                      residual cost vs the unsharded spill engine is the
-//                      per-element ownership hash.
+//                      per-batch shard lock.
 //   scan_filter_sum    Q6-shaped predicate scan + scalar sum: sharding
 //                      only changes which table the morsels come from.
 //
@@ -176,7 +176,11 @@ int main(int argc, char** argv) {
     BenchJson().threads = threads;
   }
   TpchConfig cfg;
-  cfg.scale_factor = argc > 1 ? atof(argv[1]) : (quick ? 0.02 : 0.2);
+  cfg.scale_factor = BenchFinishArgs(
+      argc, argv,
+      "bench_exchange [--quick] [--json out] [--shards N] [--threads T] "
+      "[scale_factor] [repetitions]",
+      quick ? 0.02 : 0.2);
   // Full-mode reps err high: the sweep's verdict is a ratio of sums of
   // medians, and shard-scaling deltas are small enough that run-to-run
   // scheduler noise needs several reps to median away.

@@ -169,6 +169,11 @@ int main(int argc, char** argv) {
       FlagInt(&argc, argv, "--max-queued", saturate ? 4 : 64);
   const long timeout_ms =
       FlagInt(&argc, argv, "--timeout-ms", saturate ? 50 : 0);
+  BenchFinishArgs(argc, argv,
+                  "bench_serve [--quick] [--json out] [--threads N] "
+                  "[--clients N] [--duration-s S] [--think-ms T] "
+                  "[--max-running R] [--max-queued Q] [--timeout-ms X] "
+                  "[--saturate] [--chaos]");
 
   tpcc::TpccConfig tpcc_cfg;
   tpcc_cfg.num_warehouses = quick ? 1 : 2;

@@ -23,8 +23,8 @@
 // hardware threads); the thread count is recorded in the --json output,
 // along with the peak aggregation-state bytes per measurement. --shards N
 // hash-shards the fact tables (lineitem + orders on orderkey) across N
-// independent engine instances and runs every fact-table pipeline
-// shard-parallel with exchange repartitioning (exec/shard.h). The final
+// independent engine instances and runs every fact-table pipeline over
+// the shard tables (exec/shard.h). The final
 // "result checksum" line fingerprints every (query, config) result and is
 // identical across thread AND shard counts by the parallel-determinism
 // contract — the bench-smoke CI job asserts exactly that.
@@ -158,7 +158,12 @@ int main(int argc, char** argv) {
   const unsigned num_shards = BenchShardsFlag(&argc, argv);
   const std::vector<int> queries = ParseQueries(&argc, argv);
   TpchConfig cfg;
-  cfg.scale_factor = argc > 1 ? atof(argv[1]) : (quick ? 0.02 : 0.2);
+  cfg.scale_factor = BenchFinishArgs(
+      argc, argv,
+      "bench_table2_tpch [--quick] [--json out] [--queries 1,6] "
+      "[--threads N] [--shards N] [--profile] [--profile-json out] "
+      "[scale_factor] [repetitions]",
+      quick ? 0.02 : 0.2);
   const int reps = argc > 2 ? atoi(argv[2]) : (quick ? 1 : 2);
 
   std::printf("generating TPC-H SF %.2f (hot + frozen instances)...\n",

@@ -14,13 +14,15 @@
 // kill that blow-up:
 //
 //  * PartitionedDense<T, U, Apply>: ONE dense T vector over [0, domain),
-//    partitioned into contiguous power-of-two key ranges, one range per
-//    slot. Each slot appends (key, update) pairs to a small flat spill
+//    partitioned into contiguous power-of-two key ranges, each with its
+//    own lock. Each slot appends (key, update) pairs to a small flat spill
 //    buffer (the hot path is a raw cursor store); a full buffer is
 //    drained partition-wise — grouped by the high key bits, applied under
 //    the owning partition's lock — and once more at end-of-slot (before
 //    TaskGroup::Wait returns). Memory is O(domain) + O(slots) bounded
-//    buffers, and there is no cross-slot merge at all.
+//    buffers, and there is no cross-slot merge at all. The
+//    DensePartitionedScan driver (exec/parallel_scan.h) runs it over one
+//    table and over a sharded table's shards alike.
 //
 //  * SharedStoreDense<T>: dense vectors filled by plain stores — either
 //    one writer per element (dense per-order sinks) or idempotent
@@ -54,10 +56,9 @@
 #include <utility>
 #include <vector>
 
+#include "exec/batch.h"
 #include "exec/hash_table.h"
 #include "exec/scheduler.h"
-#include "exec/table_scanner.h"
-#include "obs/query_profile.h"
 
 namespace datablocks {
 
@@ -361,61 +362,6 @@ class PartitionedDense {
   bool taken_ = false;
 };
 
-/// Morsel-parallel scan whose aggregation state is one PartitionedDense
-/// vector (see above) instead of a per-slot replica. `produce` is
-/// (Sink&, const Batch&) and calls sink.Add(key, update) per qualifying
-/// row. Each slot flushes its spill buffers after its last morsel, so the
-/// returned vector is complete — there is no merge step.
-template <typename T, typename U, typename Apply, typename Produce>
-std::vector<T> DensePartitionedScan(
-    const Table& table, std::vector<uint32_t> columns,
-    std::vector<Predicate> predicates, ScanMode mode, unsigned num_threads,
-    size_t domain, Produce produce, Apply apply = Apply{}, T init = T{},
-    uint32_t vector_size = TableScanner::kDefaultVectorSize,
-    Isa isa = BestIsa(), Scheduler* scheduler = nullptr,
-    obs::PipelineProfile* pipeline = nullptr) {
-  num_threads = EffectiveThreads(num_threads, scheduler);
-  PartitionedDense<T, U, Apply> state(domain, num_threads, std::move(apply),
-                                      init);
-  std::vector<int> chunk_nodes(table.num_chunks());
-  for (size_t i = 0; i < chunk_nodes.size(); ++i) {
-    chunk_nodes[i] = table.chunk_node(i);
-  }
-  NodeMorselDispatcher morsels(chunk_nodes);
-  auto worker = [&](unsigned slot) {
-    obs::WorkerScope scope(pipeline, slot);
-    auto& sink = state.sink(slot);
-    // The sink keeps a partition run lock from one batch to the next:
-    // flush it before urgent tasks run at a batch boundary of this slot.
-    Scheduler::PreemptRelease release(
-        [](void* s) {
-          static_cast<typename PartitionedDense<T, U, Apply>::Sink*>(s)
-              ->Flush();
-        },
-        &sink);
-    TableScanner scanner(table, columns, predicates, mode, vector_size, isa);
-    Batch batch;
-    const int my_node = Scheduler::CurrentWorkerNode();
-    size_t begin, end;
-    while (morsels.Next(my_node, &begin, &end)) {
-      scope.OnMorsel();
-      scanner.RestrictChunks(begin, end);
-      while (scanner.Next(&batch)) {
-        scope.OnBatch(batch.count, batch.AnyCoded());
-        produce(sink, batch);
-      }
-      // Per-morsel harvest: RestrictChunks reset the scanner's counters.
-      scope.OnScanTotals(scanner.chunks_scanned(), scanner.rows_considered(),
-                         scanner.chunks_skipped(),
-                         scanner.evicted_chunks_skipped(),
-                         scanner.pins_taken(), scanner.archive_reloads());
-    }
-    sink.Flush();
-  };
-  RunOnSlots(num_threads, worker, scheduler);
-  return state.Take();
-}
-
 /// One dense T vector over [0, domain) filled by scatter STORES (not
 /// read-modify-write accumulations): correct whenever every row that
 /// writes an element writes the same value — unique writers (one row per
@@ -651,11 +597,13 @@ class PartitionedAggTable {
 /// partition p in slot order. Partitions are disjoint, so they merge in
 /// parallel on the scheduler. `fold` is (V& dst, const V& src); dst is
 /// value-initialized for keys new to the result, which makes += folds and
-/// unique-key overwrites both correct.
+/// unique-key overwrites both correct. A single local (a one-slot run) is
+/// moved out as the result, not folded.
 template <typename V, typename Fold>
 PartitionedAggTable<V> MergeAggTables(
     std::vector<PartitionedAggTable<V>>& locals, Fold fold,
     Scheduler* scheduler = nullptr) {
+  if (locals.size() == 1) return std::move(locals.front());
   const unsigned partitions =
       locals.empty() ? 1 : locals.front().partitions();
   PartitionedAggTable<V> merged(partitions);

@@ -395,10 +395,10 @@ class NodeMorselDispatcher {
 
 /// Runs `worker(slot)` on `slots` parallelism slots — slot 0 on the calling
 /// thread, the rest as pool tasks — and returns when all of them finished.
-/// The canonical body claims morsels from a shared MorselDispatcher and
-/// accumulates into a per-slot state that the caller merges afterwards in
-/// slot order (making the merged result independent of which worker claimed
-/// which morsel).
+/// The canonical body is a MorselScan slot (exec/parallel_scan.h): it
+/// claims morsels from shared dispatchers and accumulates into a per-slot
+/// state that the caller merges afterwards in slot order (making the merged
+/// result independent of which worker claimed which morsel).
 /// A slot that throws fails the whole call: the first exception (slot 0's
 /// wins ties) is rethrown on the calling thread after every slot finished —
 /// pool tasks are always joined first, so no task outlives the caller's

@@ -11,6 +11,7 @@ ShardedTable::ShardedTable(const Table& source, unsigned num_shards,
     shards_.push_back(std::make_unique<Table>(
         source.name() + ".s" + std::to_string(s), source.schema(),
         source.chunk_capacity()));
+    tables_.push_back(shards_.back().get());
   }
 
   // Route every visible row. GetValue works on hot and frozen-resident

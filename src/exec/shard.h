@@ -1,8 +1,7 @@
 #ifndef DATABLOCKS_EXEC_SHARD_H_
 #define DATABLOCKS_EXEC_SHARD_H_
 
-// Shard-parallel execution: N independent engine instances per table plus
-// the scan/aggregate drivers that run one pipeline across all of them.
+// Shard-parallel execution: N independent engine instances per table.
 //
 //  * ShardedTable — hash-shards the visible rows of a source Table across
 //    `num_shards` fully independent Tables (own chunks, own lifecycle, own
@@ -11,41 +10,23 @@
 //    orderkey) keep matching keys on the same shard.
 //  * ShardSet — the shard configuration a QueryContext carries: sharded
 //    views keyed by source-table address, so query code asks "is this
-//    table sharded here?" and falls back to the single-table path when not.
-//  * ShardedParallelScan — the ParallelScan equivalent over a ShardedTable:
-//    per-shard morsel dispatchers with shard-affine claiming (slot t drains
-//    shard t % S before stealing), per-slot states, caller merges.
-//  * ShardedDenseScan — the DensePartitionedScan equivalent: ONE dense
-//    vector whose contiguous key ranges are owned per shard; scan-side
-//    updates ship through an Exchange to the owning shard ("flush your
-//    partition to the owning shard" — exec/exchange.h).
-//  * ExchangeMergeAggTables — the MergeAggTables equivalent: hash
-//    partitions are owned shard-wise (partition p -> shard p % S) and each
-//    shard's merge task folds its owned partitions across the worker-local
-//    tables in slot order, metering shipped partitions/bytes.
+//    table sharded here?" and scans the table itself when not.
 //
-// Determinism: all three drivers preserve the PR 4/5 contract — exact
-// integer accumulation, commutative/associative applies and folds, merges
-// in slot order — so sharded results are bit-identical to the single-shard
-// engine. A sharded scan presents the same multiset of rows to the same
-// consume bodies, merely in a different interleaving, and the existing
-// t1-vs-t4 checksum guard already proves interleaving-independence.
+// There is no sharded driver: the pipeline drivers (exec/parallel_scan.h)
+// scan a span of tables, and a ShardedTable hands them its shard tables.
+// The drivers' shard-affine morsel claiming keeps each slot's state
+// (mostly) shard-local. Sharded results are bit-identical to the
+// single-table engine: a sharded scan presents the same multiset of rows
+// to the same consume bodies, merely in a different interleaving, and
+// every accumulation is exact and order-independent.
 
-#include <cassert>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <type_traits>
+#include <span>
 #include <vector>
 
-#include "exec/exchange.h"
 #include "exec/hash_table.h"  // Hash64
-#include "exec/partitioned_agg.h"
-#include "exec/scheduler.h"
-#include "exec/table_scanner.h"
-#include "obs/query_profile.h"
 #include "storage/table.h"
 
 namespace datablocks {
@@ -74,6 +55,8 @@ class ShardedTable {
   unsigned num_shards() const { return unsigned(shards_.size()); }
   const Table& shard(unsigned i) const { return *shards_[i]; }
   Table& shard_mut(unsigned i) { return *shards_[i]; }
+  /// The shard tables, in shard order — what the pipeline drivers scan.
+  std::span<const Table* const> tables() const { return tables_; }
 
   uint64_t num_rows() const;
   uint64_t num_visible() const;
@@ -87,6 +70,7 @@ class ShardedTable {
   // unique_ptr: shard Table addresses must be stable (lifecycle managers
   // and scanners bind to them).
   std::vector<std::unique_ptr<Table>> shards_;
+  std::vector<const Table*> tables_;  // shards_, as a span for the drivers
 };
 
 /// The shard configuration of one execution context: sharded views of some
@@ -132,281 +116,6 @@ class ShardSet {
  private:
   std::vector<std::unique_ptr<ShardedTable>> tables_;
 };
-
-namespace shard_detail {
-
-/// Shard-affine morsel loop shared by the sharded drivers: slot `slot`
-/// drains shard (slot % S) first, then steals from the remaining shards in
-/// wrap-around order — locality (one shard's working set per slot when
-/// slots >= shards, which is what keeps each worker's aggregation state
-/// shard-local) with work-stealing balance (no slot idles while any shard
-/// has unclaimed chunks). Per-shard morsel claims go through shared
-/// MorselDispatchers, so chunks are claimed exactly once across all slots.
-/// `on_batch` is (const Batch&, unsigned shard) — the shard the batch came
-/// from, so consumers can exploit shard-locality (e.g. the co-partitioned
-/// dense path applies self-owned updates in place). Scanner construction
-/// is lazy per shard — a slot that never claims from a shard never builds
-/// a scanner for it.
-template <typename OnBatch>
-void ShardAffineScanLoop(const ShardedTable& st,
-                         std::vector<std::unique_ptr<MorselDispatcher>>& morsels,
-                         unsigned slot, const std::vector<uint32_t>& columns,
-                         const std::vector<Predicate>& predicates,
-                         ScanMode mode, uint32_t vector_size, Isa isa,
-                         obs::WorkerScope& scope,
-                         obs::PipelineProfile* pipeline, OnBatch on_batch) {
-  const unsigned S = st.num_shards();
-  Batch batch;
-  for (unsigned k = 0; k < S; ++k) {
-    const unsigned s = (slot + k) % S;
-    uint64_t sh_morsels = 0, sh_batches = 0, sh_rows = 0;
-    std::optional<TableScanner> scanner;
-    size_t begin, end;
-    while (morsels[s]->Next(&begin, &end)) {
-      if (!scanner) {
-        scanner.emplace(st.shard(s), columns, predicates, mode, vector_size,
-                        isa);
-      }
-      scope.OnMorsel();
-      ++sh_morsels;
-      scanner->RestrictChunks(begin, end);
-      while (scanner->Next(&batch)) {
-        scope.OnBatch(batch.count, batch.AnyCoded());
-        ++sh_batches;
-        sh_rows += batch.count;
-        on_batch(batch, s);
-      }
-      scope.OnScanTotals(scanner->chunks_scanned(), scanner->rows_considered(),
-                         scanner->chunks_skipped(),
-                         scanner->evicted_chunks_skipped(),
-                         scanner->pins_taken(), scanner->archive_reloads());
-    }
-    if (pipeline != nullptr && sh_morsels != 0) {
-      pipeline->AddShardSlice(s, sh_morsels, sh_batches, sh_rows);
-    }
-  }
-}
-
-inline std::vector<std::unique_ptr<MorselDispatcher>> MakeShardDispatchers(
-    const ShardedTable& st) {
-  std::vector<std::unique_ptr<MorselDispatcher>> morsels;
-  morsels.reserve(st.num_shards());
-  for (unsigned s = 0; s < st.num_shards(); ++s) {
-    morsels.push_back(
-        std::make_unique<MorselDispatcher>(st.shard(s).num_chunks()));
-  }
-  return morsels;
-}
-
-}  // namespace shard_detail
-
-/// ParallelScan over a ShardedTable: per-slot states fed by the
-/// shard-affine morsel loop, caller merges the returned states in slot
-/// order. Signature mirrors ParallelScan (exec/parallel_scan.h).
-template <typename State, typename MakeState, typename Consume>
-std::vector<State> ShardedParallelScan(
-    const ShardedTable& st, const std::vector<uint32_t>& columns,
-    const std::vector<Predicate>& predicates, ScanMode mode,
-    unsigned num_threads, MakeState make_state, Consume consume,
-    uint32_t vector_size = TableScanner::kDefaultVectorSize,
-    Isa isa = BestIsa(), Scheduler* scheduler = nullptr,
-    obs::PipelineProfile* pipeline = nullptr) {
-  num_threads = EffectiveThreads(num_threads, scheduler);
-
-  std::vector<State> states;
-  states.reserve(num_threads);
-  for (unsigned t = 0; t < num_threads; ++t) states.push_back(make_state());
-
-  auto morsels = shard_detail::MakeShardDispatchers(st);
-  auto worker = [&](unsigned slot) {
-    obs::WorkerScope scope(pipeline, slot);
-    shard_detail::ShardAffineScanLoop(
-        st, morsels, slot, columns, predicates, mode, vector_size, isa, scope,
-        pipeline, [&](const Batch& b, unsigned) { consume(states[slot], b); });
-  };
-  RunOnSlots(num_threads, worker, scheduler);
-  return states;
-}
-
-/// Dense-key ownership routings for ShardedDenseScan. Any deterministic
-/// key -> destination function is correct (each element is delivered and
-/// applied under exactly one destination's lock); the choice only decides
-/// how much traffic crosses shards.
-///
-/// SpanOwner — contiguous ranges, the generic default: shard s owns
-/// [s*span, (s+1)*span). Works for every dense domain but, with
-/// hash-sharded sources, nearly every update lands on a foreign shard.
-struct SpanOwner {
-  size_t span;
-  unsigned operator()(size_t key) const { return unsigned(key / span); }
-};
-
-/// KeyOwner — co-partitioned routing for dense domains DERIVED FROM the
-/// shard key (e.g. order ordinals on an orderkey-sharded fact table):
-/// element k is owned by the shard whose rows produce it, so every update
-/// is self-destined by construction and the exchange is ELIDED — updates
-/// apply in place under the producing shard's lock, the co-partitioned
-/// plan optimization. `route_key_of` must truly invert the dense index
-/// back to the row's routing key (CONTRACT, assert-checked in debug
-/// builds): a domain not derived from the shard key routed this way would
-/// race two shards onto one element.
-struct KeyOwner {
-  int64_t (*route_key_of)(size_t key);
-  unsigned num_shards;
-  unsigned operator()(size_t key) const {
-    return ShardedTable::ShardOf(route_key_of(key), num_shards);
-  }
-};
-
-/// DensePartitionedScan over a ShardedTable: ONE dense T vector over
-/// [0, domain) whose elements are owned per shard by `owner` (key ->
-/// destination; see SpanOwner/KeyOwner); scan-side updates are
-/// repartitioned through an Exchange to the owning shard and applied under
-/// its lock. `produce` is (Sink&, const Batch&) calling sink.Add(key, U) —
-/// the same generic produce bodies DensePartitionedScan takes. Apply must
-/// be exact + commutative + associative (the engine-wide dense-agg
-/// contract), which makes the result bit-identical to the single-shard
-/// path.
-template <typename T, typename U, typename Apply, typename Produce,
-          typename Owner>
-std::vector<T> ShardedDenseScan(
-    const ShardedTable& st, const std::vector<uint32_t>& columns,
-    const std::vector<Predicate>& predicates, ScanMode mode,
-    unsigned num_threads, size_t domain, Produce produce, Apply apply,
-    T init, uint32_t vector_size, Isa isa, Scheduler* scheduler,
-    obs::PipelineProfile* pipeline, Owner owner) {
-  num_threads = EffectiveThreads(num_threads, scheduler);
-  const unsigned S = st.num_shards();
-
-  std::vector<T> dense(domain, init);
-  aggstate::Add(aggstate::Kind::kDense, dense.size() * sizeof(T));
-
-  struct Update {
-    uint64_t key;
-    U u;
-  };
-  Apply ap = std::move(apply);
-  Exchange<Update> ex(S, num_threads,
-                      [&dense, &ap](unsigned, Update* items, size_t n) {
-                        for (size_t i = 0; i < n; ++i) {
-                          ap(dense[size_t(items[i].key)], items[i].u);
-                        }
-                      });
-
-  /// Port-backed sink: routes each update to the shard owning its key.
-  /// Satisfies the same Add(key, U) surface as PartitionedDense::Sink, so
-  /// produce bodies are oblivious.
-  struct PortSink {
-    typename Exchange<Update>::Port* port;
-    Owner owner;
-    void Add(size_t key, const U& u) {
-      port->Send(owner(key), Update{uint64_t(key), u});
-    }
-  };
-
-  /// Exchange-elision sink for co-partitioned routing (KeyOwner): while a
-  /// batch from shard `current` is consumed, the worker holds that shard's
-  /// dest lock and every update applies IN PLACE — zero copies through the
-  /// exchange. Safe because with a truthful route_key_of EVERY update a
-  /// shard's rows produce is owned by that same shard (owner(idx) =
-  /// ShardOf(route_key(idx)) = the shard the row hashed to), which the
-  /// debug assert re-derives per update. The lock still matters: two
-  /// slots can drain the same shard (work stealing).
-  struct DirectSink {
-    std::vector<T>* dense;
-    Apply* ap;
-    Owner owner;
-    unsigned current = 0;
-    void Add(size_t key, const U& u) {
-      assert(owner(key) == current);
-      (*ap)((*dense)[key], u);
-    }
-  };
-  constexpr bool kCoPartitioned = std::is_same_v<Owner, KeyOwner>;
-
-  auto morsels = shard_detail::MakeShardDispatchers(st);
-  auto worker = [&](unsigned slot) {
-    obs::WorkerScope scope(pipeline, slot);
-    if constexpr (kCoPartitioned) {
-      DirectSink sink{&dense, &ap, owner};
-      shard_detail::ShardAffineScanLoop(
-          st, morsels, slot, columns, predicates, mode, vector_size, isa,
-          scope, pipeline, [&](const Batch& b, unsigned s) {
-            std::lock_guard<std::mutex> lock(ex.dest_lock(s));
-            sink.current = s;
-            produce(sink, b);
-          });
-    } else {
-      PortSink sink{&ex.port(slot), owner};
-      shard_detail::ShardAffineScanLoop(
-          st, morsels, slot, columns, predicates, mode, vector_size, isa,
-          scope, pipeline,
-          [&](const Batch& b, unsigned) { produce(sink, b); });
-      // End-of-phase drain before the RunOnSlots barrier: after the join,
-      // every update has been applied exactly once.
-      ex.port(slot).Flush();
-    }
-  };
-  RunOnSlots(num_threads, worker, scheduler);
-
-  aggstate::Sub(aggstate::Kind::kDense, dense.size() * sizeof(T));
-  return dense;
-}
-
-/// Span-ownership default: see SpanOwner above.
-template <typename T, typename U, typename Apply, typename Produce>
-std::vector<T> ShardedDenseScan(
-    const ShardedTable& st, const std::vector<uint32_t>& columns,
-    const std::vector<Predicate>& predicates, ScanMode mode,
-    unsigned num_threads, size_t domain, Produce produce,
-    Apply apply = Apply{}, T init = T{},
-    uint32_t vector_size = TableScanner::kDefaultVectorSize,
-    Isa isa = BestIsa(), Scheduler* scheduler = nullptr,
-    obs::PipelineProfile* pipeline = nullptr) {
-  const unsigned S = st.num_shards();
-  const size_t span = domain == 0 ? 1 : (domain + S - 1) / S;
-  return ShardedDenseScan<T, U>(st, columns, predicates, mode, num_threads,
-                                domain, std::move(produce), std::move(apply),
-                                init, vector_size, isa, scheduler, pipeline,
-                                SpanOwner{span});
-}
-
-/// Exchange-then-merge of per-worker PartitionedAggTables (all built with
-/// the same partition count): hash partition p is owned by shard p % S;
-/// one merge task per shard folds its owned partitions across the locals
-/// in slot order — the same per-partition fold order as MergeAggTables, so
-/// the merged content is identical; only the task decomposition changes.
-/// Each non-empty (local, partition) pair handed to an owner counts as one
-/// shipped exchange partition; per-shard merge time lands in
-/// `exchange.merge_ns`.
-template <typename V, typename Fold>
-PartitionedAggTable<V> ExchangeMergeAggTables(
-    std::vector<PartitionedAggTable<V>>& locals, Fold fold,
-    unsigned num_shards, Scheduler* scheduler = nullptr) {
-  const unsigned partitions = locals.empty() ? 1 : locals.front().partitions();
-  if (num_shards == 0) num_shards = 1;
-  PartitionedAggTable<V> merged(partitions);
-  const ExchangeMetrics& m = GetExchangeMetrics();
-  auto merge_shard = [&](unsigned shard) {
-    const uint64_t t0 = obs::MonotonicNs();
-    uint64_t shipped = 0, bytes = 0;
-    for (unsigned p = shard; p < partitions; p += num_shards) {
-      AggHashTable<V>& dst = merged.partition(p);
-      for (PartitionedAggTable<V>& src : locals) {
-        AggHashTable<V>& sp = src.partition(p);
-        if (sp.size() == 0) continue;
-        sp.ForEach([&](uint64_t key, const V& v) { fold(dst.Ref(key), v); });
-        ++shipped;
-        bytes += sp.size() * (sizeof(uint64_t) + sizeof(V));
-      }
-    }
-    m.partitions_shipped->Add(shipped);
-    m.bytes_shipped->Add(bytes);
-    m.merge_ns->Observe(obs::MonotonicNs() - t0);
-  };
-  RunOnSlots(num_shards, merge_shard, scheduler);
-  return merged;
-}
 
 }  // namespace datablocks
 

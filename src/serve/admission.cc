@@ -162,12 +162,13 @@ void AdmissionController::Submit(std::shared_ptr<Ticket> t) {
   Metrics().submitted->Add();
   std::vector<Action> actions;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     // Every `now` is read under mu_: read before it, a ticket another
     // thread enqueues in between would be granted with a negative wait.
     const auto now = std::chrono::steady_clock::now();
     if (shutdown_) {
       actions.push_back({std::move(t), false, 0, Status::kShutdown});
+      lock.unlock();  // the drop callback may call back into the controller
       RunActions(actions);
       return;
     }

@@ -100,9 +100,10 @@ TEST(ParallelScanTest, MatchesSerialAggregation) {
   auto serial = EagerAggregate(
       t, 1, 2, {Predicate::Between(2, Value::Int(5), Value::Int(80))},
       ScanMode::kDataBlocksPsma);
+  const Table* one[] = {&t};
   for (unsigned threads : {1u, 2u, 4u}) {
     auto states = ParallelScan<EagerAggResult>(
-        t, {1, 2}, {Predicate::Between(2, Value::Int(5), Value::Int(80))},
+        one, {1, 2}, {Predicate::Between(2, Value::Int(5), Value::Int(80))},
         ScanMode::kDataBlocksPsma, threads,
         [] { return EagerAggResult{}; },
         [](EagerAggResult& state, const Batch& b) {
@@ -123,8 +124,9 @@ TEST(ParallelScanTest, MatchesSerialAggregation) {
 TEST(ParallelScanTest, MixedHotAndFrozen) {
   Table t = MakeTable(30000, 1024, false);
   for (size_t c = 0; c + 1 < t.num_chunks(); c += 2) t.FreezeChunk(c);
+  const Table* one[] = {&t};
   auto states = ParallelScan<int64_t>(
-      t, {1}, {}, ScanMode::kDataBlocks, 2, [] { return int64_t{0}; },
+      one, {1}, {}, ScanMode::kDataBlocks, 2, [] { return int64_t{0}; },
       [](int64_t& count, const Batch& b) { count += b.count; });
   int64_t total = states[0] + states[1];
   EXPECT_EQ(total, 30000);

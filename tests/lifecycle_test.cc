@@ -617,10 +617,11 @@ TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
       }
     };
     auto parallel_worker = [&] {
+      const Table* one[] = {&t};
       for (int i = 0; i < 3; ++i) {
         struct Agg { int64_t count = 0; };
         auto states = ParallelScan<Agg>(
-            t, {1}, {}, ScanMode::kDataBlocks, 4, [] { return Agg{}; },
+            one, {1}, {}, ScanMode::kDataBlocks, 4, [] { return Agg{}; },
             [](Agg& a, const Batch& b) { a.count += b.count; });
         int64_t total = 0;
         for (const Agg& a : states) total += a.count;

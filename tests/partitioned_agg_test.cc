@@ -10,10 +10,13 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
+#include "exec/parallel_scan.h"
 #include "exec/partitioned_agg.h"
 #include "exec/scheduler.h"
+#include "exec/shard.h"
 #include "test_table_util.h"
 #include "tpch/queries.h"
 #include "util/rng.h"
@@ -111,7 +114,12 @@ TEST(DensePartitionedScan, FlushesBeforeTheParallelRegionJoins) {
   // End-to-end through the scan driver: per-key sums over a real table
   // must equal the sequential result immediately after the call returns —
   // i.e. every spill buffer was flushed before TaskGroup::Wait finished.
+  // Over one table and over a 2-shard copy of it: both run on
+  // PartitionedDense, whose sinks keep run locks across batches.
   Table t = MakeTestTable(20000, 1024, /*delete_every=*/7, /*freeze=*/true);
+  ShardedTable sharded(t, 2, /*route_col=*/0);
+  sharded.FreezeAll();
+  const Table* one[] = {&t};
   const size_t kDomain = 64;
   std::vector<int64_t> expect(kDomain, 0);
   {
@@ -124,17 +132,21 @@ TEST(DensePartitionedScan, FlushesBeforeTheParallelRegionJoins) {
     }
   }
   Scheduler sched(Scheduler::Options{.num_workers = 2});
-  for (unsigned threads : {1u, 3u, 8u}) {
-    std::vector<int64_t> got = DensePartitionedScan<int64_t, int64_t>(
-        t, {0, 1}, {}, ScanMode::kDataBlocks, threads, kDomain,
-        [](auto& sink, const Batch& b) {
-          for (uint32_t i = 0; i < b.count; ++i) {
-            sink.Add(size_t(b.cols[0].i64[i]) % 64, b.cols[1].i32[i]);
-          }
-        },
-        ApplyAdd{}, int64_t{0}, TableScanner::kDefaultVectorSize, BestIsa(),
-        &sched);
-    EXPECT_EQ(got, expect) << "threads=" << threads;
+  for (std::span<const Table* const> tables :
+       {std::span<const Table* const>(one), sharded.tables()}) {
+    for (unsigned threads : {1u, 3u, 8u}) {
+      std::vector<int64_t> got = DensePartitionedScan<int64_t, int64_t>(
+          tables, {0, 1}, {}, ScanMode::kDataBlocks, threads, kDomain,
+          [](auto& sink, const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i) {
+              sink.Add(size_t(b.cols[0].i64[i]) % 64, b.cols[1].i32[i]);
+            }
+          },
+          ApplyAdd{}, int64_t{0}, TableScanner::kDefaultVectorSize,
+          BestIsa(), &sched);
+      EXPECT_EQ(got, expect)
+          << tables.size() << " table(s), threads=" << threads;
+    }
   }
 }
 

@@ -10,12 +10,15 @@
 #include <cstdio>
 #include <future>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/parallel_scan.h"
 #include "exec/partitioned_agg.h"
 #include "exec/scheduler.h"
+#include "exec/shard.h"
 #include "lifecycle/lifecycle_manager.h"
 #include "obs/metrics.h"
 #include "test_table_util.h"
@@ -148,9 +151,10 @@ TEST(Scheduler, UrgentTaskPreemptsARunningParallelScan) {
   std::atomic<int64_t> batches{0};
   std::atomic<int64_t> batches_at_urgent{-1};
   const uint64_t preemptions0 = UrgentPreemptions();
+  const Table* one[] = {&t};
   RunAsPoolTask(sched, [&] {
     ParallelScan<int>(
-        t, {0}, {}, ScanMode::kDataBlocks, /*num_threads=*/2,
+        one, {0}, {}, ScanMode::kDataBlocks, /*num_threads=*/2,
         [] { return 0; },
         [&](int& seen, const Batch&) {
           if (seen++ == 0) {
@@ -186,9 +190,10 @@ TEST(Scheduler, UrgentTaskDoesNotRunUrgentTasksNestedInsideItself) {
   std::atomic<int64_t> batches{0};
   std::atomic<int64_t> batches_at_first{-1};
   ScanResult first_scan;
+  const Table* one[] = {&t};
   RunAsPoolTask(sched, [&] {
     ParallelScan<int>(
-        t, {0}, {}, ScanMode::kDataBlocks, /*num_threads=*/1,
+        one, {0}, {}, ScanMode::kDataBlocks, /*num_threads=*/1,
         [] { return 0; },
         [&](int&, const Batch&) {
           if (batches.fetch_add(1) != 0) return;
@@ -240,9 +245,13 @@ TEST(Scheduler, UrgentDensePartitionedScanInsideADensePartitionedScan) {
   // lock): that only happens if the preempted slot dropped the lock
   // before running the task. Then it runs a DensePartitionedScan of its
   // own. (Waiting on a pipeline breaks the urgent-task contract; here it
-  // is the probe.)
+  // is the probe.) Over one table and over a 2-shard copy of it: both
+  // run on PartitionedDense.
   Table t = MakeTestTable(64 * 1024, 1024, /*delete_every=*/0,
                           /*freeze=*/true);
+  ShardedTable sharded(t, 2, /*route_col=*/0);
+  sharded.FreezeAll();
+  const Table* one[] = {&t};
   const size_t kDomain = 64;
   std::vector<int64_t> expect(kDomain, 0);
   {
@@ -259,34 +268,39 @@ TEST(Scheduler, UrgentDensePartitionedScanInsideADensePartitionedScan) {
       sink.Add(size_t(b.cols[0].i64[i]) % 64, b.cols[1].i32[i]);
     }
   };
-  Scheduler sched(Scheduler::Options{.num_workers = 2});
-  std::atomic<int64_t> batches{0};
-  std::atomic<bool> submitted{false};
-  std::atomic<bool> other_slot_moved{false};
-  std::vector<int64_t> outer, inner;
-  RunAsPoolTask(sched, [&] {
-    outer = DensePartitionedScan<int64_t, int64_t>(
-        t, {0, 1}, {}, ScanMode::kDataBlocks, /*num_threads=*/2, kDomain,
-        [&](auto& sink, const Batch& b) {
-          produce(sink, b);
-          const int64_t n = batches.fetch_add(1) + 1;
-          // By batch 64 both slots flushed a 16-batch spill buffer: one
-          // of them holds the run lock, the other waits for it.
-          if (n < 64 || submitted.exchange(true)) return;
-          sched.SubmitUrgent([&, n] {
-            other_slot_moved =
-                WaitFor([&] { return batches.load() >= n + 16; });
-            inner = DensePartitionedScan<int64_t, int64_t>(
-                t, {0, 1}, {}, ScanMode::kDataBlocks, /*num_threads=*/2,
-                kDomain, produce, ApplyAdd{}, int64_t{0},
-                /*vector_size=*/256, BestIsa(), &sched);
-          });
-        },
-        ApplyAdd{}, int64_t{0}, /*vector_size=*/256, BestIsa(), &sched);
-  });
-  EXPECT_TRUE(other_slot_moved.load());
-  EXPECT_EQ(outer, expect);
-  EXPECT_EQ(inner, expect);
+  for (std::span<const Table* const> tables :
+       {std::span<const Table* const>(one), sharded.tables()}) {
+    SCOPED_TRACE(std::to_string(tables.size()) + " table(s)");
+    Scheduler sched(Scheduler::Options{.num_workers = 2});
+    std::atomic<int64_t> batches{0};
+    std::atomic<bool> submitted{false};
+    std::atomic<bool> other_slot_moved{false};
+    std::vector<int64_t> outer, inner;
+    RunAsPoolTask(sched, [&] {
+      outer = DensePartitionedScan<int64_t, int64_t>(
+          tables, {0, 1}, {}, ScanMode::kDataBlocks, /*num_threads=*/2,
+          kDomain,
+          [&](auto& sink, const Batch& b) {
+            produce(sink, b);
+            const int64_t n = batches.fetch_add(1) + 1;
+            // By batch 64 both slots flushed a 16-batch spill buffer: one
+            // of them holds the run lock, the other waits for it.
+            if (n < 64 || submitted.exchange(true)) return;
+            sched.SubmitUrgent([&, n] {
+              other_slot_moved =
+                  WaitFor([&] { return batches.load() >= n + 16; });
+              inner = DensePartitionedScan<int64_t, int64_t>(
+                  tables, {0, 1}, {}, ScanMode::kDataBlocks,
+                  /*num_threads=*/2, kDomain, produce, ApplyAdd{},
+                  int64_t{0}, /*vector_size=*/256, BestIsa(), &sched);
+            });
+          },
+          ApplyAdd{}, int64_t{0}, /*vector_size=*/256, BestIsa(), &sched);
+    });
+    EXPECT_TRUE(other_slot_moved.load());
+    EXPECT_EQ(outer, expect);
+    EXPECT_EQ(inner, expect);
+  }
 }
 
 TEST(Scheduler, MorselDispatcherHandsOutEveryRangeExactlyOnce) {
@@ -321,8 +335,9 @@ TEST(Scheduler, ParallelScanWithMoreSlotsThanWorkers) {
   Table t = MakeTestTable(20000, 1024, /*delete_every=*/7, /*freeze=*/true);
   ScanResult expect = FullScan(t);
   Scheduler sched(Scheduler::Options{.num_workers = 2});
+  const Table* one[] = {&t};
   auto states = ParallelScan<ScanResult>(
-      t, {0, 1, 2}, {}, ScanMode::kDataBlocks, /*num_threads=*/8,
+      one, {0, 1, 2}, {}, ScanMode::kDataBlocks, /*num_threads=*/8,
       [] { return ScanResult{}; },
       [](ScanResult& r, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
@@ -470,9 +485,10 @@ TEST(Scheduler, ParallelQueriesVsEvictionAndCompactionStress) {
     mgr.Start();
 
     std::atomic<bool> failed{false};
+    const Table* one[] = {&t};
     auto parallel_scan_count = [&] {
       auto states = ParallelScan<int64_t>(
-          t, {0, 1}, {}, ScanMode::kDataBlocks, /*num_threads=*/3,
+          one, {0, 1}, {}, ScanMode::kDataBlocks, /*num_threads=*/3,
           [] { return int64_t{0}; },
           [](int64_t& count, const Batch& b) { count += b.count; },
           TableScanner::kDefaultVectorSize, BestIsa(), &sched);

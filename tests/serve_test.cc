@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -122,6 +124,34 @@ TEST(Admission, QueueFullRejectsNewestSamePriority) {
   EXPECT_EQ(rb.payload, "b");
   EXPECT_GT(rb.queue_ns, 0u);
   server.Shutdown();
+}
+
+TEST(Admission, DropAfterShutdownRunsOutsideTheControllerLock) {
+  // A ticket submitted after Shutdown is dropped inline. Its drop callback
+  // calls back into the controller, which deadlocks if the callback runs
+  // under the controller lock. The submit runs on a helper thread, so a
+  // deadlock fails the wait below instead of hanging the suite (the
+  // helper is leaked then, and the controller with it).
+  auto ac = std::make_shared<serve::AdmissionController>(
+      serve::AdmissionConfig{}, /*default_running=*/1);
+  ac->Shutdown();
+  auto dropped = std::make_shared<std::promise<Status>>();
+  std::future<Status> status = dropped->get_future();
+  std::thread submitter([ac, dropped] {
+    auto ticket = std::make_shared<serve::AdmissionController::Ticket>();
+    ticket->grant = [](uint64_t) {};
+    ticket->drop = [ac, dropped](Status s) {
+      (void)ac->queued();  // takes the controller lock
+      dropped->set_value(s);
+    };
+    ac->Submit(std::move(ticket));
+  });
+  if (status.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    submitter.detach();
+    FAIL() << "the drop callback ran under the controller lock";
+  }
+  submitter.join();
+  EXPECT_EQ(status.get(), Status::kShutdown);
 }
 
 TEST(Admission, OltpArrivalEvictsQueuedBatchOnOverflow) {

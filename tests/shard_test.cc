@@ -1,16 +1,15 @@
-// Exchange + shard-parallel execution: exactly-once repartitioning across
-// forced morsel/flush interleavings, degenerate shapes (single shard, empty
-// shard, single destination), NUMA-aware morsel handout, and the tentpole
-// guarantee — all 22 TPC-H queries bit-identical between the single-table
-// engine and 4-shard execution, hot + frozen + evicted, t1 and t4.
+// Shard-parallel execution: NUMA-aware morsel handout, ShardedTable
+// routing and degenerate shapes (single shard, empty shard), per-shard
+// profile slices, and the tentpole guarantee — all 22 TPC-H queries
+// bit-identical between the single-table engine and 4-shard execution,
+// hot + frozen + evicted, t1 and t4.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <numeric>
+#include <algorithm>
 #include <vector>
 
-#include "exec/exchange.h"
 #include "exec/scheduler.h"
 #include "exec/shard.h"
 #include "lifecycle/lifecycle_manager.h"
@@ -18,115 +17,6 @@
 
 namespace datablocks {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Exchange
-// ---------------------------------------------------------------------------
-
-TEST(Exchange, ExactlyOnceAcrossInterleavings) {
-  // Tiny capacity forces many mid-phase flushes; 4 slots on a 3-worker pool
-  // (slot 0 runs on the caller) interleave flushes against each other.
-  constexpr unsigned kDests = 5;
-  constexpr unsigned kSlots = 4;
-  constexpr int kPerSlot = 999;
-
-  Scheduler sched(Scheduler::Options{.num_workers = 3});
-  std::vector<uint64_t> sum(kDests, 0);
-  std::vector<uint64_t> count(kDests, 0);
-  Exchange<uint64_t> ex(
-      kDests, kSlots,
-      [&](unsigned dest, uint64_t* items, size_t n) {
-        // Runs under dest's lock: plain accumulation is race-free.
-        for (size_t i = 0; i < n; ++i) sum[dest] += items[i];
-        count[dest] += n;
-      },
-      /*capacity=*/8);
-
-  RunOnSlots(
-      kSlots,
-      [&](unsigned slot) {
-        for (int k = 0; k < kPerSlot; ++k) {
-          ex.port(slot).Send(unsigned(k) % kDests,
-                             uint64_t(slot) * 100000 + uint64_t(k));
-        }
-        ex.port(slot).Flush();  // end-of-phase drain before the barrier
-      },
-      &sched);
-
-  uint64_t total_items = 0, total_sum = 0;
-  for (unsigned d = 0; d < kDests; ++d) {
-    total_items += count[d];
-    total_sum += sum[d];
-  }
-  EXPECT_EQ(total_items, uint64_t(kSlots) * kPerSlot);
-  EXPECT_EQ(ex.items_delivered(), uint64_t(kSlots) * kPerSlot);
-  // Exact content check: sum over all slots/keys, delivered exactly once.
-  uint64_t want = 0;
-  for (unsigned s = 0; s < kSlots; ++s)
-    for (int k = 0; k < kPerSlot; ++k) want += uint64_t(s) * 100000 + uint64_t(k);
-  EXPECT_EQ(total_sum, want);
-  // Per-destination counts: dest d received keys k ≡ d (mod kDests).
-  for (unsigned d = 0; d < kDests; ++d) {
-    uint64_t per_slot = uint64_t(kPerSlot / kDests) + (d < kPerSlot % kDests);
-    EXPECT_EQ(count[d], per_slot * kSlots) << "dest " << d;
-  }
-}
-
-TEST(Exchange, SingleDestinationFastPathShipsOneRun) {
-  std::vector<int> got;
-  Exchange<int> ex(4, 1,
-                   [&](unsigned dest, int* items, size_t n) {
-                     EXPECT_EQ(dest, 3u);
-                     got.insert(got.end(), items, items + n);
-                   });
-  for (int i = 0; i < 100; ++i) ex.port(0).Send(3, i);
-  ex.port(0).Flush();
-  EXPECT_EQ(ex.runs_delivered(), 1u);  // whole buffer as one run, no scatter
-  ASSERT_EQ(got.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[size_t(i)], i);
-}
-
-TEST(Exchange, RadixGroupingPreservesPerDestinationOrder) {
-  std::vector<std::vector<int>> got(4);
-  Exchange<int> ex(4, 1, [&](unsigned dest, int* items, size_t n) {
-    got[dest].insert(got[dest].end(), items, items + n);
-  });
-  for (int i = 0; i < 40; ++i) ex.port(0).Send(unsigned(i) % 4, i);
-  ex.port(0).Flush();
-  EXPECT_EQ(ex.runs_delivered(), 4u);  // one destination-contiguous run each
-  for (unsigned d = 0; d < 4; ++d) {
-    ASSERT_EQ(got[d].size(), 10u);
-    for (size_t i = 1; i < got[d].size(); ++i)
-      EXPECT_LT(got[d][i - 1], got[d][i]);  // stable scatter keeps send order
-  }
-}
-
-TEST(Exchange, EmptyFlushIsNoopAndCapacityAutoFlushes) {
-  int calls = 0;
-  Exchange<int> ex(2, 1, [&](unsigned, int*, size_t) { ++calls; },
-                   /*capacity=*/4);
-  ex.port(0).Flush();
-  EXPECT_EQ(calls, 0);
-  // 9 sends at capacity 4: flushes fire inside Send before the buffer grows
-  // past capacity; the remainder waits for the explicit drain.
-  for (int i = 0; i < 9; ++i) ex.port(0).Send(0, i);
-  EXPECT_GE(ex.runs_delivered(), 2u);
-  ex.port(0).Flush();
-  EXPECT_EQ(ex.items_delivered(), 9u);
-}
-
-TEST(Exchange, SingleDestinationDegenerate) {
-  // num_dests == 1: everything funnels to dest 0 (the 1-shard engine).
-  uint64_t n_total = 0;
-  Exchange<uint64_t> ex(1, 2, [&](unsigned dest, uint64_t*, size_t n) {
-    EXPECT_EQ(dest, 0u);
-    n_total += n;
-  });
-  ex.port(0).Send(0, 7);
-  ex.port(1).Send(0, 9);
-  ex.FlushAll();
-  EXPECT_EQ(n_total, 2u);
-}
 
 // ---------------------------------------------------------------------------
 // NodeMorselDispatcher
@@ -286,7 +176,7 @@ class ShardParity : public ::testing::TestWithParam<int> {
       for (unsigned s = 0; s < st.num_shards(); ++s) {
         char path[128];
         std::snprintf(path, sizeof(path),
-                      "/tmp/datablocks_exchange_test_%zu_%u.dbar", t, s);
+                      "/tmp/datablocks_shard_test_%zu_%u.dbar", t, s);
         managers_->push_back(std::make_unique<LifecycleManager>(
             &st.shard_mut(s), path, lcfg));
         managers_->back()->Tick();
@@ -396,25 +286,6 @@ TEST(ShardProfile, RecordsPerShardSlices) {
   const std::string json = profile.ToJson();
   EXPECT_NE(json.find("\"shards\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"shard\": "), std::string::npos);
-}
-
-TEST(ShardMetrics, ExchangeCountersMove) {
-  obs::MetricsRegistry& r = obs::MetricsRegistry::Default();
-  obs::Counter* shipped = r.GetCounter("exchange.partitions_shipped");
-  const uint64_t before = shipped->Value();
-
-  TpchConfig cfg;
-  cfg.scale_factor = 0.005;
-  cfg.chunk_capacity = 2048;
-  auto db = MakeTpch(cfg);
-  ShardSet shards = BuildTpchShards(*db, 4);
-  ScanOptions o;
-  o.mode = ScanMode::kJit;
-  o.ctx.threads = 2;
-  o.ctx.shards = &shards;
-  RunQuery(1, *db, o);  // hash/dense aggregation -> exchange traffic
-
-  EXPECT_GT(shipped->Value(), before);
 }
 
 }  // namespace
